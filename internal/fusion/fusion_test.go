@@ -3,6 +3,7 @@ package fusion
 import (
 	"io"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,40 @@ func TestSynthesizeCampaign(t *testing.T) {
 	}
 	if disrupted == 0 || disrupted == 10 {
 		t.Fatalf("disrupted=%d, want mixed outcomes", disrupted)
+	}
+}
+
+// TestPipelineReproducible: one config and seed always build the same
+// shard set. Builds repeat because an order-dependent draw (such as a
+// map range) only shows up when two builds happen to iterate apart.
+func TestPipelineReproducible(t *testing.T) {
+	build := func() []string {
+		st, err := SynthesizeCampaign(SynthConfig{Shots: 4, DisruptionRate: 0.5, FlattopSeconds: 1, DropoutRate: 0.01, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPipeline(DefaultConfig(), shard.NewMemSink())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := NewDataset("repro", st)
+		if _, err := p.Run(ds); err != nil {
+			t.Fatal(err)
+		}
+		var sums []string
+		for _, info := range ds.Payload.(*Product).Manifest.Shards {
+			sums = append(sums, info.SHA256)
+		}
+		return sums
+	}
+	want := build()
+	if len(want) == 0 {
+		t.Fatal("build wrote no shards")
+	}
+	for i := 0; i < 8; i++ {
+		if got := build(); !slices.Equal(got, want) {
+			t.Fatalf("build %d: shard SHA-256s %v, want %v", i+2, got, want)
+		}
 	}
 }
 

@@ -66,8 +66,10 @@ func SynthesizeCampaign(cfg SynthConfig) (*Store, error) {
 
 		shot := &Shot{Number: num, Signals: make(map[string]*Signal),
 			Disrupted: disrupted, TDisrupt: tDisrupt}
-		for name, rate := range diagnosticRates {
-			dt := 1 / rate
+		// Channels draw from rng in a fixed order: ranging over the map
+		// would make the data depend on Go's randomized map iteration.
+		for _, name := range DiagnosticNames() {
+			dt := 1 / diagnosticRates[name]
 			n := int(tEnd / dt)
 			sig := &Signal{Name: name, Times: make([]float64, 0, n), Data: make([]float64, 0, n)}
 			switch name {

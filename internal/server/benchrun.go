@@ -61,7 +61,7 @@ func (r *ServeBenchResult) Render() string {
 	return fmt.Sprintf(
 		"Serving throughput — %d concurrent clients, batch size %d, %s:\n"+
 			"  %d batches (%d samples, %d bytes) in %.3fs\n"+
-			"  %.2f MiB/s, %.0f batches/s; shard cache %d hits / %d misses\n"+
+			"  %.2f MiB/s, %.0f batches/s; serve cache %d hits / %d misses\n"+
 			"  first batch p50 %.2fms / p99 %.2fms; batch encode p50 %.1fµs / p99 %.1fµs\n",
 		r.Clients, r.BatchSize, workload, r.Batches, r.Samples, r.Bytes, r.Seconds,
 		r.BytesPerSec/(1024*1024), r.BatchesPerSec, r.CacheHits, r.CacheMisses,
@@ -86,7 +86,7 @@ type ServeBenchConfig struct {
 	// DataDir roots the "fs" backend; empty uses a temp dir that is
 	// removed afterwards.
 	DataDir string
-	// ColdCache disables the decoded-shard cache so every read hits the
+	// ColdCache disables the serving cache so every read hits the
 	// store — required when the measurement is about the store (the
 	// fs/mem gate): with the cache on, both backends serve ~all batches
 	// from RAM and the ratio measures scheduler noise.
@@ -96,9 +96,6 @@ type ServeBenchConfig struct {
 	Domain core.Domain
 	// Wire picks the stream encoding: "ndjson" (default) or "frame".
 	Wire string
-	// FrameCacheBytes budgets the encoded-frame shard cache; <=0 leaves
-	// it disabled so frame streams encode per request.
-	FrameCacheBytes int64
 }
 
 // RunServeBenchmark measures concurrent streaming throughput: it
@@ -126,9 +123,9 @@ func RunServeBenchmark(cfg ServeBenchConfig) (*ServeBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := Options{Workers: 2, CacheBytes: 64 << 20, FrameCacheBytes: cfg.FrameCacheBytes}
+	opts := Options{Workers: 2, ServeCacheBytes: 64 << 20}
 	if cfg.ColdCache {
-		opts.CacheBytes = 0
+		opts.ServeCacheBytes = 0
 	}
 	switch cfg.Backend {
 	case "mem":
@@ -173,7 +170,7 @@ func RunServeBenchmark(cfg ServeBenchConfig) (*ServeBenchResult, error) {
 	if err := measureStreams(res, url, cfg.Wire, cfg.Clients, cfg.Passes); err != nil {
 		return nil, err
 	}
-	cs := s.cache.Stats()
+	cs := s.frames.Stats()
 	res.CacheHits, res.CacheMisses = cs.Hits, cs.Misses
 	s.fillLatencies(res)
 	return res, nil
@@ -240,9 +237,9 @@ type WireComparison struct {
 }
 
 // FrameCachedComparison pairs one domain's frame-wire runs with the
-// encoded-frame cache off (encode per request) and on (payload slices
-// off the cache), over the same fs-backend dataset — the number that
-// says what zero-copy serving buys.
+// serving cache off and no sidecars (decode+encode per request) and
+// with it on (payload slices off the cache), over the same fs-backend
+// dataset — the number that says what zero-copy serving buys.
 type FrameCachedComparison struct {
 	Frame       *ServeBenchResult `json:"frame"`
 	FrameCached *ServeBenchResult `json:"frame_cached"`
@@ -252,7 +249,7 @@ type FrameCachedComparison struct {
 }
 
 // FrameDiskComparison pairs one domain's fully-cold frame-wire runs —
-// both caches empty on every request — served by decode+encode vs by
+// the cache empty on every request — served by decode+encode vs by
 // streaming the on-store frame sidecar (domain.Sidecar), over the same
 // fs-backend dataset. The ratio says what the disk tier buys when
 // nothing is warm.
@@ -281,8 +278,8 @@ type ServeBenchReport struct {
 	// on FSOverMem.
 	Codecs map[string]*WireComparison `json:"codecs,omitempty"`
 	// FrameCached is the zero-copy dimension: fusion frame streams off
-	// the fs backend with the encoded-frame cache off vs on. Gated by
-	// cmd/benchreport -compare on CachedOverFrame.
+	// the fs backend encoded per request vs sliced off the serving
+	// cache. Gated by cmd/benchreport -compare on CachedOverFrame.
 	FrameCached *FrameCachedComparison `json:"frame_cached,omitempty"`
 	// FrameDisk is the disk-tier dimension: fully-cold frame streams off
 	// the fs backend served from shard sidecars vs by decode+encode,
@@ -334,7 +331,7 @@ func (r *ServeBenchReport) Render() string {
 			}
 			return float64(res.Samples) / res.Seconds
 		}
-		out += "frame sidecar disk tier (cold caches, fs backend):\n"
+		out += "frame sidecar disk tier (cold cache, fs backend):\n"
 		names := make([]string, 0, len(r.FrameDisk))
 		for name := range r.FrameDisk {
 			names = append(names, name)
@@ -405,8 +402,8 @@ func RunServeComparison(cfg ServeBenchConfig) (*ServeBenchReport, error) {
 		}
 		rep.Codecs[string(plug.Domain)] = cmp
 	}
-	// Zero-copy dimension: what the encoded-frame cache buys over
-	// per-request encoding, on the durable backend.
+	// Zero-copy dimension: what the serving cache buys over per-request
+	// encoding, on the durable backend.
 	fcCfg := cfg
 	fcCfg.Passes = 2
 	fc, err := RunFrameCachedComparison(fcCfg)
@@ -432,15 +429,15 @@ func RunServeComparison(cfg ServeBenchConfig) (*ServeBenchReport, error) {
 }
 
 // RunFrameCachedComparison measures one domain's frame-wire throughput
-// with the encoded-frame cache off and on, over the same fs-backend
-// dataset: two servers share one data dir (the second replays the job
-// log), so the only difference between the sides is per-request tensor
-// encoding vs slicing cached payload bytes. The decoded-shard cache is
-// warm on both sides and the frame cache is pre-filled, isolating the
-// encode cost. Fusion is the default workload — its windowed signal
-// tensors have the largest per-record encode cost, so the ratio tracks
-// the win where it matters most. Like the fs/mem gate, the ratio is the
-// median of frameCachedRounds interleaved rounds.
+// with the serving cache off and on, over the same fs-backend dataset:
+// two servers share one data dir (the second replays the job log), so
+// the only difference between the sides is per-request shard decode
+// and tensor encoding vs slicing cached payload bytes. The cached side
+// is pre-filled, so no measured stream pays a fill. Fusion is the
+// default workload — its windowed signal tensors have the largest
+// per-record encode cost, so the ratio tracks the win where it matters
+// most. Like the fs/mem gate, the ratio is the median of
+// frameCachedRounds interleaved rounds.
 func RunFrameCachedComparison(cfg ServeBenchConfig) (*FrameCachedComparison, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("server: clients=%d must be positive", cfg.Clients)
@@ -465,10 +462,11 @@ func RunFrameCachedComparison(cfg ServeBenchConfig) (*FrameCachedComparison, err
 		dir = tmp
 	}
 
-	// DisableFrameStore keeps the encode side a true per-request-encode
-	// reference; with the disk tier on it would serve cold frames from
-	// sidecars and the ratio would measure the wrong thing.
-	encSrv, err := New(Options{Workers: 2, CacheBytes: 64 << 20, DataDir: dir, DisableFrameStore: true})
+	// The encode side has no cache and DisableFrameStore, keeping it a
+	// true per-request decode+encode reference: with either on it would
+	// slice cached or on-store payloads and the ratio would measure the
+	// wrong thing.
+	encSrv, err := New(Options{Workers: 2, DataDir: dir, DisableFrameStore: true})
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +479,7 @@ func RunFrameCachedComparison(cfg ServeBenchConfig) (*FrameCachedComparison, err
 	}
 	// The cached server starts after the job completes so its job-log
 	// replay sees the finished shard set.
-	cachedSrv, err := New(Options{Workers: 2, CacheBytes: 64 << 20, FrameCacheBytes: 256 << 20, DataDir: dir})
+	cachedSrv, err := New(Options{Workers: 2, ServeCacheBytes: 256 << 20, DataDir: dir})
 	if err != nil {
 		return nil, err
 	}
@@ -496,9 +494,8 @@ func RunFrameCachedComparison(cfg ServeBenchConfig) (*FrameCachedComparison, err
 		s  *Server
 		ts *httptest.Server
 	}{{encSrv, encTS}, {cachedSrv, cachedTS}}
-	// Warm-up: fills the decoded-shard cache on the encode side and the
-	// frame cache on the cached side, so neither measured stream pays a
-	// fill.
+	// Warm-up: fills the cache on the cached side, so no measured
+	// stream pays a fill, and surfaces stream errors on both sides.
 	for _, side := range sides {
 		if _, _, _, _, err := streamConsume(urlFor(side.ts.URL), "", domain.WireFrame); err != nil {
 			return nil, err
@@ -511,11 +508,11 @@ func RunFrameCachedComparison(cfg ServeBenchConfig) (*FrameCachedComparison, err
 		for i, side := range sides {
 			res := &ServeBenchResult{Clients: cfg.Clients, BatchSize: cfg.BatchSize, Backend: "fs",
 				Domain: string(cfg.Domain), Kind: plug.Codec.Kind(), Wire: domain.WireFrame}
-			before := side.s.cache.Stats()
+			before := side.s.frames.Stats()
 			if err := measureStreams(res, urlFor(side.ts.URL), domain.WireFrame, cfg.Clients, cfg.Passes); err != nil {
 				return nil, err
 			}
-			cs := side.s.cache.Stats()
+			cs := side.s.frames.Stats()
 			res.CacheHits, res.CacheMisses = cs.Hits-before.Hits, cs.Misses-before.Misses
 			side.s.fillLatencies(res)
 			rate := 0.0
@@ -546,8 +543,8 @@ func RunFrameCachedComparison(cfg ServeBenchConfig) (*FrameCachedComparison, err
 const frameCachedRounds = 3
 
 // RunFrameDiskComparison measures one domain's fully-cold frame-wire
-// throughput — decoded and frame caches disabled on both sides, so
-// every request goes to the store — served by per-request decode+encode
+// throughput — the serving cache disabled on both sides, so every
+// request goes to the store — served by per-request decode+encode
 // vs by streaming the shard's frame sidecar, over the same fs-backend
 // dataset. The job is built on the disk side (which writes sidecars at
 // completion); the encode side replays the same job log with the frame
@@ -580,7 +577,7 @@ func RunFrameDiskComparison(cfg ServeBenchConfig) (*FrameDiskComparison, error) 
 
 	// The job builds on the disk side so completion writes the sidecars
 	// the measured streams will serve from.
-	diskSrv, err := New(Options{Workers: 2, CacheBytes: 0, DataDir: dir})
+	diskSrv, err := New(Options{Workers: 2, DataDir: dir})
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +591,7 @@ func RunFrameDiskComparison(cfg ServeBenchConfig) (*FrameDiskComparison, error) 
 	// The encode side starts after the job completes so its job-log
 	// replay sees the finished shard set; DisableFrameStore keeps it a
 	// true cold decode+encode reference.
-	encSrv, err := New(Options{Workers: 2, CacheBytes: 0, DataDir: dir, DisableFrameStore: true})
+	encSrv, err := New(Options{Workers: 2, DataDir: dir, DisableFrameStore: true})
 	if err != nil {
 		return nil, err
 	}
@@ -609,7 +606,7 @@ func RunFrameDiskComparison(cfg ServeBenchConfig) (*FrameDiskComparison, error) 
 		s  *Server
 		ts *httptest.Server
 	}{{encSrv, encTS}, {diskSrv, diskTS}}
-	// One warm-up stream per side: with both caches off nothing warms,
+	// One warm-up stream per side: with the cache off nothing warms,
 	// but this surfaces stream errors before the measured rounds.
 	for _, side := range sides {
 		if _, _, _, _, err := streamConsume(urlFor(side.ts.URL), "", domain.WireFrame); err != nil {
@@ -623,11 +620,11 @@ func RunFrameDiskComparison(cfg ServeBenchConfig) (*FrameDiskComparison, error) 
 		for i, side := range sides {
 			res := &ServeBenchResult{Clients: cfg.Clients, BatchSize: cfg.BatchSize, Backend: "fs",
 				Domain: string(cfg.Domain), Kind: plug.Codec.Kind(), Wire: domain.WireFrame}
-			before := side.s.cache.Stats()
+			before := side.s.frames.Stats()
 			if err := measureStreams(res, urlFor(side.ts.URL), domain.WireFrame, cfg.Clients, cfg.Passes); err != nil {
 				return nil, err
 			}
-			cs := side.s.cache.Stats()
+			cs := side.s.frames.Stats()
 			res.CacheHits, res.CacheMisses = cs.Hits-before.Hits, cs.Misses-before.Misses
 			side.s.fillLatencies(res)
 			rate := 0.0
@@ -667,7 +664,7 @@ func runWireComparison(cfg ServeBenchConfig) (*WireComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := New(Options{Workers: 2, CacheBytes: 64 << 20})
+	s, err := New(Options{Workers: 2, ServeCacheBytes: 64 << 20})
 	if err != nil {
 		return nil, err
 	}
@@ -682,8 +679,8 @@ func runWireComparison(cfg ServeBenchConfig) (*WireComparison, error) {
 
 	cmp := &WireComparison{}
 	for _, wire := range domain.Wires() {
-		// One warm-up pass per wire so neither side pays the shard-
-		// decode cache fill.
+		// One warm-up pass per wire so neither side pays the cache
+		// fill.
 		if _, _, _, _, err := streamConsume(url, "", wire); err != nil {
 			return nil, err
 		}
@@ -691,11 +688,11 @@ func runWireComparison(cfg ServeBenchConfig) (*WireComparison, error) {
 			Domain: string(cfg.Domain), Kind: plug.Codec.Kind(), Wire: wire}
 		// Cache counters are server-lifetime; record this wire's delta,
 		// not the accumulated total of warm-up and earlier wires.
-		before := s.cache.Stats()
+		before := s.frames.Stats()
 		if err := measureStreams(res, url, wire, cfg.Clients, cfg.Passes); err != nil {
 			return nil, err
 		}
-		cs := s.cache.Stats()
+		cs := s.frames.Stats()
 		res.CacheHits, res.CacheMisses = cs.Hits-before.Hits, cs.Misses-before.Misses
 		// Histogram quantiles are server-lifetime, but the warm-up adds
 		// only one stream per wire against Clients×Passes measured ones —

@@ -1,14 +1,12 @@
-// LRU shard-index cache for the serving tier. Opening a shard means
-// verifying its SHA-256, inflating gzip, walking TFRecord frames, and
-// decoding every record through the domain codec — work worth doing
-// once per shard, not once per reader. The cache keys cached shard
-// contents by (job, shard) and evicts least-recently-served entries
-// when the configured byte budget is exceeded, so many concurrent
-// streaming clients share one decode. Values are opaque to the cache —
+// Byte-budgeted LRU shard cache for the serving tier. Filling a shard
+// means reading and CRC-checking its sidecar (or, without one, a
+// SHA-256 check, gunzip, TFRecord walk and codec decode+encode) — work
+// worth doing once per shard, not once per reader. The cache keys
+// shard contents by (job, shard) and evicts least-recently-served
+// entries when the byte budget is exceeded, so many concurrent
+// streaming clients share one fill. Values are opaque to the cache:
 // the loader that produced one also reports its in-memory size, which
-// is what the byte budget accounts — so the same structure backs both
-// the decoded-record cache ([]any per shard) and the encoded-frame
-// cache (frame-ready payload bytes per shard).
+// is what the byte budget accounts.
 package server
 
 import (
@@ -60,12 +58,6 @@ type ShardCache[V any] struct {
 	// drains — tombstones only matter to loads that overlapped them).
 	gen   int64
 	tombs []tombstone
-
-	// arena, when set, couples this cache with its sibling under one
-	// shared byte budget: after every insert the arena rebalances both
-	// caches back under the joint budget (weighted eviction), replacing
-	// the independent per-cache ceilings.
-	arena *cacheArena
 
 	hits, misses, evictions, invalidations int64
 }
@@ -121,38 +113,8 @@ func (c *ShardCache[V]) Get(key string, load func() (V, int64, error)) (V, error
 	if len(c.loads) == 0 {
 		c.tombs = nil
 	}
-	arena := c.arena
 	c.mu.Unlock()
-	if arena != nil && fl.err == nil {
-		// Outside c.mu: rebalance locks the arena and then each member
-		// cache in turn, so no lock is ever taken while holding c.mu.
-		arena.rebalance()
-	}
 	return fl.val, fl.err
-}
-
-// usedBytes reports the cache's current resident size (arena hook).
-func (c *ShardCache[V]) usedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
-// evictOne removes the least-recently-used entry, reporting whether
-// there was one to evict (arena hook).
-func (c *ShardCache[V]) evictOne() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tail := c.lru.Back()
-	if tail == nil {
-		return false
-	}
-	victim := tail.Value.(*shardEntry[V])
-	c.lru.Remove(tail)
-	delete(c.entries, victim.key)
-	c.size -= victim.bytes
-	c.evictions++
-	return true
 }
 
 // droppedSince reports whether a DropPrefix covering key ran after a

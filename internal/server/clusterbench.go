@@ -241,7 +241,7 @@ func startBenchFleet(n int, dataDir string, newStore func(string) (shard.Store, 
 			return nil, err
 		}
 		s, err := New(Options{
-			Workers: 2, CacheBytes: 64 << 20, DataDir: dataDir,
+			Workers: 2, ServeCacheBytes: 64 << 20, DataDir: dataDir,
 			Cluster: cl, NewStore: newStore,
 		})
 		if err != nil {

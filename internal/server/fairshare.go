@@ -92,15 +92,6 @@ func (f *fairShare) activeStreams() int {
 	return f.active
 }
 
-// newDynamicPacer returns a pacer whose rate is re-read from rateFn on
-// every pace call: the weighted-fair share moves as streams open and
-// close, and the bucket follows without restarting the stream.
-func newDynamicPacer(rateFn func() float64) *pacer {
-	p := newPacer(int64(rateFn()))
-	p.rateFn = rateFn
-	return p
-}
-
 // pacerBurst is the bucket capacity for a rate: a quarter-second of
 // rate, clamped to [4 KiB, 256 KiB], so pacing engages quickly without
 // punishing tiny responses.

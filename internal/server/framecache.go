@@ -1,16 +1,12 @@
-// Encoded-frame shard cache: the zero-copy half of the serving tier.
-// The decoded-shard cache already makes shard opening cheap, but every
-// frame-wire batch was still re-encoded per request — each record's
-// tensors packed into little-endian bytes again for every client and
-// every batch size. This cache stores each shard's records in
-// frame-ready byte form exactly once: one contiguous payload buffer
-// plus per-record boundary offsets. Any batch_size/cursor combination
-// is then served by slicing byte ranges out of the buffer and writing
-// them straight to the connection under a freshly framed header
-// (domain.FrameEnvelope) — no per-request tensor marshalling, and
-// byte-identical wire output to the encode-per-request path because a
-// codec's batch payload is the concatenation of its single-record
-// payloads.
+// The serving cache: each shard's records in frame-ready byte form —
+// one contiguous payload buffer plus per-record boundary offsets, the
+// same bytes a shard sidecar holds — filled once and shared by both
+// wires. Any batch_size/cursor combination is served by slicing byte
+// ranges out of the buffer: frame batches write them straight to the
+// connection under a freshly framed header (domain.FrameEnvelope),
+// NDJSON batches decode them back into records at emit time. Both are
+// byte-identical to encoding per request because a codec's batch
+// payload is the concatenation of its single-record payloads.
 package server
 
 import (
@@ -67,12 +63,12 @@ type frameRange struct {
 // frameShard returns one shard's encoded-frame form through the frame
 // cache, filling on first access only. The fill prefers the shard's
 // on-store sidecar — one read plus a CRC check, zero codec calls —
-// and only decodes+encodes (through the decoded-shard cache, then
-// backfilling the sidecar) when no usable sidecar exists. Fills are
-// spanned as frame.fill under the filling request's span (with the
-// nested shard.load appearing as a sibling child of the same request —
-// the decoded-cache read happens inside this interval but parents to
-// the request span, which keeps both directly visible in the tree).
+// and only decodes+encodes (then backfills the sidecar) when no usable
+// sidecar exists. Fills are spanned as frame.fill under the filling
+// request's span (with a fallback's shard.load appearing as a sibling
+// child of the same request — the load happens inside this interval
+// but parents to the request span, which keeps both directly visible
+// in the tree).
 func (s *Server) frameShard(ctx context.Context, job *Job, dom string, m *shard.Manifest, info shard.Info, open shard.Opener, codec domain.Codec) (*encodedShard, error) {
 	key := job.id + "/" + info.Name
 	return s.frames.Get(key, func() (*encodedShard, int64, error) {
@@ -95,17 +91,9 @@ func (s *Server) frameShard(ctx context.Context, job *Job, dom string, m *shard.
 			}
 			s.metrics.frameStoreMisses.Inc()
 		}
-		records, err := s.shardRecords(ctx, job.id, dom, m, info, open, codec)
+		enc, err := s.encodeShard(ctx, job, dom, m, info, open, codec)
 		if err != nil {
 			return nil, 0, err
-		}
-		payload, offsets, err := domain.EncodeRecordPayloads(codec, records)
-		if err != nil {
-			return nil, 0, err
-		}
-		enc := &encodedShard{payload: payload, offsets: offsets}
-		if !s.opts.DisableFrameStore {
-			s.backfillSidecar(job, info, codec, payload, offsets)
 		}
 		s.recordChildSpan(ctx, "frame.fill", fillStart, time.Now(),
 			map[string]string{"shard": info.Name, "source": "encode"})

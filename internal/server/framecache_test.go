@@ -1,11 +1,12 @@
-// Acceptance tests for the encoded-frame shard cache: the cached path
-// must be invisible on the wire — byte-identical frame streams, across
-// every codec, any batch size, cursor resume boundaries, and pacing —
-// while the frame cache actually takes the hits.
+// Acceptance tests for the serving cache: the cached path must be
+// invisible on the wire — byte-identical frame and NDJSON streams,
+// across every codec, any batch size, cursor resume boundaries, and
+// pacing — while the cache actually takes the hits.
 package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/shard"
 )
 
 // rawFrameStream fetches url as a frame-wire stream and returns the raw
@@ -44,6 +46,101 @@ func rawFrameStream(t *testing.T, url string) []byte {
 	return body
 }
 
+// rawNDJSONStream fetches url as an NDJSON stream and returns the raw
+// response bytes.
+func rawNDJSONStream(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(domain.HeaderWire); got != domain.WireNDJSON {
+		t.Fatalf("%s: X-Draid-Wire %q, want %q", url, got, domain.WireNDJSON)
+	}
+	return body
+}
+
+// ndjsonReference renders a job's NDJSON stream from its shards, not
+// from any frame payload: every shard read whole (SHA-256-verified,
+// decrypted for sealed domains) and decoded record by record with
+// Codec.Decode, each batch built with Codec.Line and json.Marshal.
+// Serving decodes frame payloads instead and must match it byte for
+// byte, so a drift between Decode and DecodeFramePayload (a null where
+// Decode gives [], say) fails here.
+func ndjsonReference(t *testing.T, s *Server, id string, batchSize int, cursor string) []byte {
+	t.Helper()
+	s.mu.Lock()
+	job := s.jobs[id]
+	s.mu.Unlock()
+	if job == nil {
+		t.Fatalf("reference: no job %s", id)
+	}
+	m, open, codec, err := job.serveHandle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := Cursor{}
+	if cursor != "" {
+		if start, err = ParseCursor(cursor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		out     bytes.Buffer
+		pending []any
+		pos     Cursor
+		batch   int
+	)
+	flush := func() {
+		line, err := codec.Line(domain.BatchHeader{Batch: batch, Cursor: pos.String(), Kind: codec.Kind()}, pending)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(b, '\n'))
+		batch++
+		pending = pending[:0]
+	}
+	for si := start.Shard; si < len(m.Shards); si++ {
+		one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{m.Shards[si]}}
+		j := 0
+		err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
+			defer func() { j++ }()
+			if si == start.Shard && j < start.Record {
+				return nil
+			}
+			r, _, err := codec.Decode(rec)
+			if err != nil {
+				return err
+			}
+			pending = append(pending, r)
+			pos = advanceCursor(m, si, j)
+			if len(pending) == batchSize {
+				flush()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(pending) > 0 {
+		flush()
+	}
+	return out.Bytes()
+}
+
 // frameCursors parses a raw frame stream into its batch cursors.
 func frameCursors(t *testing.T, stream []byte) []string {
 	t.Helper()
@@ -61,28 +158,32 @@ func frameCursors(t *testing.T, stream []byte) []string {
 }
 
 // TestFrameCacheByteExact is the zero-copy acceptance proof: for every
-// codec, the frame stream served by slicing the encoded-frame cache is
-// byte-identical to the encode-per-request stream — cold (cache fill),
-// warm (cache hit), at a different batch size, resumed from a
-// mid-stream cursor, and under ?max_kbps= pacing. The reference bytes
-// come from a server with the frame cache disabled; the cached server
-// reads the same data dir after a restart.
+// codec, including sealed bio, the frame stream served by slicing the
+// serving cache is byte-identical to the encode-per-request stream —
+// cold (cache fill), warm (cache hit), at a different batch size,
+// resumed from a mid-stream cursor, and under ?max_kbps= pacing — and
+// the NDJSON stream decoded from the same cached payload is
+// byte-identical to the decoded-record reference. The frame reference
+// comes from a server with the cache and sidecars disabled; the cached
+// server reads the same data dir after a restart.
 func TestFrameCacheByteExact(t *testing.T) {
 	dataDir := t.TempDir()
 	// DisableFrameStore keeps s1 a true encode-per-request reference:
 	// with the disk tier on it would serve cold frames from sidecars.
-	s1, err := New(Options{Workers: 4, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: true})
+	s1, err := New(Options{Workers: 4, DataDir: dataDir, DisableFrameStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 
 	// One job per codec kind: climate (samples), fusion (windowed
-	// TFRecord examples), materials (BP graphs).
+	// TFRecord examples), materials (BP graphs), and bio (samples,
+	// sealed).
 	specs := []JobSpec{
 		{Domain: core.Climate, Seed: 3, Months: 24, Lat: 16, Lon: 32},
 		{Domain: core.Fusion, Seed: 3, Shots: 8},
 		{Domain: core.Materials, Seed: 3, Structures: 16},
+		{Domain: core.BioHealth, Seed: 3, Subjects: 16},
 	}
 	type refStreams struct {
 		id     string
@@ -90,6 +191,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 		odd    []byte // batch_size=3, whole stream
 		cursor string // mid-stream resume point from full
 		resume []byte // batch_size=2 from cursor
+		nd     ndjsonRefs
 	}
 	var refs []refStreams
 	for _, spec := range specs {
@@ -107,6 +209,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 		}
 		r.cursor = cursors[len(cursors)/2]
 		r.resume = rawFrameStream(t, url+"?batch_size=2&cursor="+r.cursor)
+		r.nd = newNDJSONRefs(t, s1, id, r.cursor)
 		refs = append(refs, r)
 	}
 	if hits := s1.frames.Stats().Hits; hits != 0 {
@@ -115,7 +218,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	s2, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, FrameCacheBytes: 64 << 20})
+	s2, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +251,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 		if got := rawFrameStream(t, fmt.Sprintf("%s?batch_size=2&max_kbps=%d", url, kbps)); !bytes.Equal(got, r.full) {
 			t.Fatalf("%s: paced cached stream differs from reference", dom)
 		}
+		r.nd.check(t, string(dom)+" cached", url, r.cursor)
 	}
 
 	fs := s2.frames.Stats()
@@ -158,22 +262,52 @@ func TestFrameCacheByteExact(t *testing.T) {
 		t.Fatalf("frame cache holds nothing after serving: %+v", fs)
 	}
 
-	// NDJSON streams never touch the frame cache: same bytes, no new
-	// cache traffic.
+	// NDJSON streams are served from the same cached payloads: a
+	// repeat stream over filled shards is all hits, no fills.
 	ndjsonURL := ts2.URL + "/v1/jobs/" + refs[0].id + "/batches?batch_size=2"
 	before := s2.frames.Stats()
-	resp, err := http.Get(ndjsonURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(body) == 0 || body[0] != '{' {
-		t.Fatalf("NDJSON stream looks wrong: %.60s", body)
+	if got := rawNDJSONStream(t, ndjsonURL); !bytes.Equal(got, refs[0].nd.full) {
+		t.Fatal("NDJSON stream over a filled cache differs from reference")
 	}
 	after := s2.frames.Stats()
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("NDJSON stream moved frame-cache counters: %+v -> %+v", before, after)
+	if after.Hits == before.Hits || after.Misses != before.Misses {
+		t.Fatalf("NDJSON stream did not read the filled cache: %+v -> %+v", before, after)
+	}
+}
+
+// ndjsonRefs holds one job's NDJSON references (see ndjsonReference).
+type ndjsonRefs struct {
+	full   []byte // batch_size=2, whole stream
+	odd    []byte // batch_size=3, whole stream
+	resume []byte // batch_size=2 from the cursor
+}
+
+// newNDJSONRefs renders the references for job id on server s.
+func newNDJSONRefs(t *testing.T, s *Server, id, cursor string) ndjsonRefs {
+	return ndjsonRefs{
+		full:   ndjsonReference(t, s, id, 2, ""),
+		odd:    ndjsonReference(t, s, id, 3, ""),
+		resume: ndjsonReference(t, s, id, 2, cursor),
+	}
+}
+
+// check streams url (a job's /batches endpoint) as NDJSON — whole at
+// two batch sizes, resumed from cursor, and paced — and requires each
+// body to equal its reference.
+func (r ndjsonRefs) check(t *testing.T, what, url, cursor string) {
+	t.Helper()
+	if got := rawNDJSONStream(t, url+"?batch_size=2"); !bytes.Equal(got, r.full) {
+		t.Fatalf("%s: NDJSON stream differs from reference (%d vs %d bytes)", what, len(got), len(r.full))
+	}
+	if got := rawNDJSONStream(t, url+"?batch_size=3"); !bytes.Equal(got, r.odd) {
+		t.Fatalf("%s: batch_size=3 NDJSON stream differs from reference", what)
+	}
+	if got := rawNDJSONStream(t, url+"?batch_size=2&cursor="+cursor); !bytes.Equal(got, r.resume) {
+		t.Fatalf("%s: resumed NDJSON stream differs from reference", what)
+	}
+	kbps := len(r.full)/1024 + 1
+	if got := rawNDJSONStream(t, fmt.Sprintf("%s?batch_size=2&max_kbps=%d", url, kbps)); !bytes.Equal(got, r.full) {
+		t.Fatalf("%s: paced NDJSON stream differs from reference", what)
 	}
 }
 

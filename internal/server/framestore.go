@@ -1,18 +1,18 @@
-// The disk tier of the zero-copy frame path. PR 7 made warm frame
-// serving zero-copy (cached payload slices); this file makes the COLD
-// path cheap too: completed jobs carry per-shard frame-ready sidecars
-// (domain.Sidecar, "<shard>.fpay"), so a frame stream over a job whose
-// caches are empty is served by verifying the sidecar's CRCs and
-// io.CopyN-ing payload byte ranges straight off the store — zero codec
-// Encode/Decode calls. Every frame-wire shard read resolves through
+// The disk tier of the serving path: completed jobs carry per-shard
+// frame-ready sidecars (domain.Sidecar, "<shard>.fpay"), so a stream
+// over a job whose cache is empty is served by verifying the sidecar's
+// CRCs and io.CopyN-ing payload byte ranges straight off the store —
+// zero codec calls for frames, one frame-payload decode per batch for
+// NDJSON. Every shard read, on either wire, resolves through
 // frameSourceFor:
 //
-//	frame cache on  → frameShard fill, which itself prefers the sidecar
+//	serve cache on  → frameShard fill, which itself prefers the sidecar
 //	                  (one read + CRC) over decode+encode
 //	sidecar usable  → stream directly from the store via RangeOpener
 //	                  (or a whole read for sealed/bio stores)
-//	otherwise       → decode+encode for this request and backfill the
-//	                  sidecar so the next cold stream takes the fast path
+//	otherwise       → decode+encode for this request (the SHA-256-
+//	                  verified shard read) and backfill the sidecar so
+//	                  the next cold stream takes the fast path
 //
 // A torn, truncated, or bit-flipped sidecar is rejected by its CRCs
 // and the stream silently falls back — corrupt bytes are never served.
@@ -40,7 +40,7 @@ type frameSource interface {
 }
 
 // sidecarStream serves a shard's payload ranges straight off the
-// store — the fully-cold path that never touches either cache.
+// store — the fully-cold path that never touches the cache.
 type sidecarStream struct {
 	sc *domain.Sidecar
 }
@@ -132,7 +132,7 @@ func readObject(open shard.Opener, name string) ([]byte, error) {
 	return b, err
 }
 
-// frameSourceFor resolves one shard of a frame-wire stream to its
+// frameSourceFor resolves one shard of a batch stream to its
 // cheapest servable form (see the package comment's decision tree).
 // Sources backed by open store handles are appended to closers; the
 // stream closes them when it ends.
@@ -156,7 +156,18 @@ func (s *Server) frameSourceFor(ctx context.Context, job *Job, dom string, m *sh
 		}
 		s.metrics.frameStoreMisses.Inc()
 	}
-	records, err := s.shardRecords(ctx, job.id, dom, m, info, open, codec)
+	enc, err := s.encodeShard(ctx, job, dom, m, info, open, codec)
+	if err != nil {
+		return nil, err
+	}
+	return enc, nil
+}
+
+// encodeShard is the fallback for a shard without a usable sidecar:
+// decode it from the store, pack its records' frame payloads, and
+// backfill the sidecar so the next cold read takes the fast path.
+func (s *Server) encodeShard(ctx context.Context, job *Job, dom string, m *shard.Manifest, info shard.Info, open shard.Opener, codec domain.Codec) (*encodedShard, error) {
+	records, err := s.shardRecords(ctx, dom, m, info, open, codec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,9 @@
-// Acceptance tests for the disk tier of the zero-copy frame path:
-// fully-cold frame streams served from shard sidecars must be
-// byte-identical to encode-per-request, make zero codec calls, lazily
-// backfill sidecars for replayed pre-sidecar jobs, and survive torn or
-// corrupt sidecars by falling back — never by serving bad bytes.
+// Acceptance tests for the disk tier of the serving path: fully-cold
+// frame and NDJSON streams served from shard sidecars must be
+// byte-identical to their references, frames must make zero codec
+// calls, replayed pre-sidecar jobs must lazily backfill sidecars, and
+// torn or corrupt sidecars must be survived by falling back — never by
+// serving bad bytes.
 package server
 
 import (
@@ -27,7 +28,7 @@ import (
 // shard sets (and, unless disableStore, their sidecars) are on disk.
 func buildJobs(t *testing.T, dataDir string, disableStore bool, specs []JobSpec) []string {
 	t.Helper()
-	s, err := New(Options{Workers: 4, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: disableStore})
+	s, err := New(Options{Workers: 4, DataDir: dataDir, DisableFrameStore: disableStore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,10 @@ func sidecarFiles(t *testing.T, dataDir, id string) []string {
 // for every codec — including the sealed bio domain, whose sidecars
 // are encrypted under the per-job key — a fully-cold frame stream
 // served from sidecars is byte-identical to the encode-per-request
+// reference, and a fully-cold NDJSON stream to the decoded-record
 // reference, across batch sizes, cursor resume, and ?max_kbps= pacing.
+// A second server with the cache on fills it from the same sidecars
+// and must serve the same bytes.
 func TestFrameDiskByteExact(t *testing.T) {
 	dataDir := t.TempDir()
 	ids := buildJobs(t, dataDir, false, []JobSpec{
@@ -84,7 +88,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 
 	// Reference bytes from a replay server with the frame store off —
 	// a true encode-per-request server.
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: true})
+	ref, err := New(Options{Workers: 2, DataDir: dataDir, DisableFrameStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +98,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 		odd    []byte // batch_size=3
 		cursor string // mid-stream resume point
 		resume []byte // batch_size=2 from cursor
+		nd     ndjsonRefs
 	}
 	refs := make([]refStreams, len(ids))
 	for i, id := range ids {
@@ -106,6 +111,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 		}
 		refs[i].cursor = cursors[len(cursors)/2]
 		refs[i].resume = rawFrameStream(t, url+"?batch_size=2&cursor="+refs[i].cursor)
+		refs[i].nd = newNDJSONRefs(t, ref, id, refs[i].cursor)
 	}
 	if hits := ref.metrics.frameStoreHits.Value(); hits != 0 {
 		t.Fatalf("DisableFrameStore server recorded %v sidecar hits", hits)
@@ -113,41 +119,50 @@ func TestFrameDiskByteExact(t *testing.T) {
 	refTS.Close()
 	ref.Close()
 
-	// The disk server runs with both caches off: every stream below is
-	// fully cold and must be served from the sidecars.
-	disk, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diskTS := httptest.NewServer(disk.Handler())
-	t.Cleanup(diskTS.Close)
-	t.Cleanup(disk.Close)
-
-	for i, id := range ids {
-		dom := doms[i]
-		url := diskTS.URL + "/v1/jobs/" + id + "/batches"
-		if got := rawFrameStream(t, url+"?batch_size=2"); !bytes.Equal(got, refs[i].full) {
-			t.Fatalf("%s: disk-served stream differs from reference (%d vs %d bytes)", dom, len(got), len(refs[i].full))
+	// The disk server runs with the cache off: every stream below is
+	// fully cold and must be served from the sidecars. The cached
+	// server fills its cache from them.
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{
+		{"disk", Options{Workers: 2, DataDir: dataDir}},
+		{"cache", Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20}},
+	} {
+		srv, err := New(cfg.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := rawFrameStream(t, url+"?batch_size=3"); !bytes.Equal(got, refs[i].odd) {
-			t.Fatalf("%s: batch_size=3 disk-served stream differs from reference", dom)
+		srvTS := httptest.NewServer(srv.Handler())
+		for i, id := range ids {
+			what := fmt.Sprintf("%s %s", cfg.name, doms[i])
+			url := srvTS.URL + "/v1/jobs/" + id + "/batches"
+			if got := rawFrameStream(t, url+"?batch_size=2"); !bytes.Equal(got, refs[i].full) {
+				t.Fatalf("%s: stream differs from reference (%d vs %d bytes)", what, len(got), len(refs[i].full))
+			}
+			if got := rawFrameStream(t, url+"?batch_size=3"); !bytes.Equal(got, refs[i].odd) {
+				t.Fatalf("%s: batch_size=3 stream differs from reference", what)
+			}
+			if got := rawFrameStream(t, url+"?batch_size=2&cursor="+refs[i].cursor); !bytes.Equal(got, refs[i].resume) {
+				t.Fatalf("%s: resumed stream differs from reference", what)
+			}
+			kbps := len(refs[i].full)/1024 + 1
+			if got := rawFrameStream(t, fmt.Sprintf("%s?batch_size=2&max_kbps=%d", url, kbps)); !bytes.Equal(got, refs[i].full) {
+				t.Fatalf("%s: paced stream differs from reference", what)
+			}
+			refs[i].nd.check(t, what, url, refs[i].cursor)
 		}
-		if got := rawFrameStream(t, url+"?batch_size=2&cursor="+refs[i].cursor); !bytes.Equal(got, refs[i].resume) {
-			t.Fatalf("%s: resumed disk-served stream differs from reference", dom)
+		srvTS.Close()
+		srv.Close()
+		if hits := srv.metrics.frameStoreHits.Value(); hits == 0 {
+			t.Fatalf("%s: no stream was sidecar-served", cfg.name)
 		}
-		kbps := len(refs[i].full)/1024 + 1
-		if got := rawFrameStream(t, fmt.Sprintf("%s?batch_size=2&max_kbps=%d", url, kbps)); !bytes.Equal(got, refs[i].full) {
-			t.Fatalf("%s: paced disk-served stream differs from reference", dom)
+		if misses := srv.metrics.frameStoreMisses.Value(); misses != 0 {
+			t.Fatalf("%s: %v sidecar misses on a fully-sidecared job set", cfg.name, misses)
 		}
-	}
-	if hits := disk.metrics.frameStoreHits.Value(); hits == 0 {
-		t.Fatal("no stream was sidecar-served")
-	}
-	if misses := disk.metrics.frameStoreMisses.Value(); misses != 0 {
-		t.Fatalf("%v sidecar misses on a fully-sidecared job set", misses)
-	}
-	if errs := disk.metrics.frameStoreErrors.Value(); errs != 0 {
-		t.Fatalf("%v sidecar errors on pristine sidecars", errs)
+		if errs := srv.metrics.frameStoreErrors.Value(); errs != 0 {
+			t.Fatalf("%s: %v sidecar errors on pristine sidecars", cfg.name, errs)
+		}
 	}
 }
 
@@ -200,7 +215,7 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 	}
 	defer domain.Register(plug)
 
-	s, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+	s, err := New(Options{Workers: 2, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +257,7 @@ func TestSidecarBackfillReplayedJobs(t *testing.T) {
 		t.Fatalf("DisableFrameStore build still wrote sidecars: %v", files)
 	}
 
-	s, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+	s, err := New(Options{Workers: 2, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +287,12 @@ func TestSidecarBackfillReplayedJobs(t *testing.T) {
 }
 
 // TestSidecarCorruptionFallback: torn, bit-flipped, or deleted
-// sidecars must never surface on the wire — streams stay byte-exact
-// via decode+encode fallback, and the error counter records each
-// rejected sidecar. A deleted sidecar counts as absent and is lazily
-// re-backfilled.
+// sidecars must never surface on either wire — frame and NDJSON
+// streams stay byte-exact via the SHA-256-verified decode+encode
+// fallback, and the error counter records each rejected sidecar. A
+// deleted sidecar counts as absent and is lazily re-backfilled. Each
+// wire streams from a fresh server over freshly corrupted sidecars, so
+// neither reads what the other repaired or cached.
 func TestSidecarCorruptionFallback(t *testing.T) {
 	dataDir := t.TempDir()
 	id := buildJobs(t, dataDir, false, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
@@ -293,12 +310,15 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 		pristine[f] = b
 	}
 
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: true})
+	ref, err := New(Options{Workers: 2, DataDir: dataDir, DisableFrameStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refTS := httptest.NewServer(ref.Handler())
-	want := rawFrameStream(t, refTS.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
+	want := map[string][]byte{
+		domain.WireFrame:  rawFrameStream(t, refTS.URL+"/v1/jobs/"+id+"/batches?batch_size=2"),
+		domain.WireNDJSON: ndjsonReference(t, ref, id, 2, ""),
+	}
 	refTS.Close()
 	ref.Close()
 
@@ -310,48 +330,54 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 	// Each corruption mode runs against both cold serving modes: direct
 	// sidecar streaming (no caches) and frame-cache fill.
 	caches := map[string]Options{
-		"disk":  {Workers: 2, DataDir: dataDir, CacheBytes: 0},
-		"cache": {Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, FrameCacheBytes: 64 << 20},
+		"disk":  {Workers: 2, DataDir: dataDir},
+		"cache": {Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20},
 	}
 	for mode, mutate := range corrupt {
 		for cacheName, opts := range caches {
 			t.Run(mode+"/"+cacheName, func(t *testing.T) {
-				for f, b := range pristine {
-					if mutate == nil {
-						if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
+				for _, wire := range []string{domain.WireFrame, domain.WireNDJSON} {
+					for f, b := range pristine {
+						if mutate == nil {
+							if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
+								t.Fatal(err)
+							}
+							continue
+						}
+						if err := os.WriteFile(filepath.Join(jobDir, f), mutate(b), 0o644); err != nil {
 							t.Fatal(err)
 						}
-						continue
 					}
-					if err := os.WriteFile(filepath.Join(jobDir, f), mutate(b), 0o644); err != nil {
+					s, err := New(opts)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				t.Cleanup(func() {
+					ts := httptest.NewServer(s.Handler())
+					url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
+					var got []byte
+					if wire == domain.WireFrame {
+						got = rawFrameStream(t, url)
+					} else {
+						got = rawNDJSONStream(t, url)
+					}
+					ts.Close()
+					s.Close()
 					for f, b := range pristine {
 						if err := os.WriteFile(filepath.Join(jobDir, f), b, 0o644); err != nil {
 							t.Fatal(err)
 						}
 					}
-				})
-				s, err := New(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts := httptest.NewServer(s.Handler())
-				t.Cleanup(ts.Close)
-				t.Cleanup(s.Close)
-				got := rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
-				if !bytes.Equal(got, want) {
-					t.Fatalf("stream over %s sidecars differs from reference (%d vs %d bytes)", mode, len(got), len(want))
-				}
-				if mode == "deleted" {
-					// Absent means lost, not corrupt: lazily rebuilt.
-					if v := s.metrics.frameStoreBackfills.Value(); v == 0 {
-						t.Fatal("deleted sidecars were not backfilled")
+					if !bytes.Equal(got, want[wire]) {
+						t.Fatalf("%s stream over %s sidecars differs from reference (%d vs %d bytes)", wire, mode, len(got), len(want[wire]))
 					}
-				} else if v := s.metrics.frameStoreErrors.Value(); v == 0 {
-					t.Fatalf("%s sidecars were served without tripping the error counter", mode)
+					if mode == "deleted" {
+						// Absent means lost, not corrupt: lazily rebuilt.
+						if v := s.metrics.frameStoreBackfills.Value(); v == 0 {
+							t.Fatalf("%s: deleted sidecars were not backfilled", wire)
+						}
+					} else if v := s.metrics.frameStoreErrors.Value(); v == 0 {
+						t.Fatalf("%s: %s sidecars were served without tripping the error counter", wire, mode)
+					}
 				}
 			})
 		}

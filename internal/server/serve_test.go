@@ -168,7 +168,7 @@ func TestAllDomainsStreamAndResumeAcrossRestart(t *testing.T) {
 // the stream to frames, and both answers are labelled with
 // Content-Type and X-Draid-Wire.
 func TestWireNegotiation(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Seed: 2, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestWireNegotiation(t *testing.T) {
 func TestServeErrorMetric(t *testing.T) {
 	dataDir := t.TempDir()
 	// Cold cache so the stream really reads the (sabotaged) store.
-	s, err := New(Options{Workers: 1, DataDir: dataDir, CacheBytes: 0})
+	s, err := New(Options{Workers: 1, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,16 +256,16 @@ func TestServeErrorMetric(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK || st.Shards < 2 {
 		t.Fatalf("need >=2 shards to fail mid-stream, have %+v (code %d)", st, code)
 	}
-	// Delete the last shard file so the stream starts fine and dies
-	// partway through.
+	// Delete the last shard file, and its sidecar (which would serve it
+	// without the shard), so the stream starts fine and dies partway
+	// through.
 	entries, err := os.ReadDir(filepath.Join(dataDir, "jobs", id))
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := ""
 	for _, e := range entries {
-		// Skip frame sidecars: deleting one degrades the frame path but
-		// never breaks a stream. We want the shard payload itself gone.
+		// Pick a shard payload itself; its sidecar goes below.
 		if strings.Contains(e.Name(), "MANIFEST") || strings.HasSuffix(e.Name(), domain.SidecarSuffix) {
 			continue
 		}
@@ -276,8 +276,10 @@ func TestServeErrorMetric(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no shard file found")
 	}
-	if err := os.Remove(filepath.Join(dataDir, "jobs", id, victim)); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{victim, domain.SidecarName(victim)} {
+		if err := os.Remove(filepath.Join(dataDir, "jobs", id, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	before := metricValue(t, ts.URL, "draid_serve_errors_total")
@@ -357,7 +359,7 @@ func assertPaced(t *testing.T, s *Server, url, wire string) int {
 // unpaced stream finishes the same payload far faster than the paced
 // one.
 func TestServeRateControl(t *testing.T) {
-	s, err := New(Options{Workers: 1, CacheBytes: 32 << 20})
+	s, err := New(Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

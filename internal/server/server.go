@@ -3,13 +3,16 @@
 // registry's domain templates, submit pipeline jobs that run
 // asynchronously on a bounded worker pool, follow each job's readiness
 // trajectory and provenance, and stream training batches from completed
-// jobs' shard sets through an LRU shard cache. /metrics exposes the
-// paper-facing accounting (latency histograms, jobs in flight, bytes
-// served) in Prometheus text format via internal/telemetry, and every
-// request carries a trace ID (X-Draid-Trace) across fleet hops.
+// jobs' shard sets through one LRU cache of frame-ready shard payloads
+// that feeds both the NDJSON and the binary frame wire. /metrics
+// exposes the paper-facing accounting (latency histograms, jobs in
+// flight, bytes served) in Prometheus text format via
+// internal/telemetry, and every request carries a trace ID
+// (X-Draid-Trace) across fleet hops.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -44,22 +47,12 @@ type Options struct {
 	// are rejected with 429 (explicit backpressure, not unbounded RAM).
 	// <=0 means 64.
 	QueueDepth int
-	// CacheBytes budgets the decoded-shard LRU cache. <=0 disables it.
-	CacheBytes int64
-	// FrameCacheBytes budgets the encoded-frame shard cache: each
-	// shard's records are packed into frame-ready payload bytes once,
-	// and frame-wire batches are then served by slicing byte ranges —
-	// no per-request tensor marshalling. <=0 disables it (frame batches
-	// serve from on-store sidecars, or encode per request). NDJSON
-	// streams never use it.
-	FrameCacheBytes int64
-	// ServeCacheBytes, when positive, replaces the independent
-	// CacheBytes/FrameCacheBytes budgets with ONE byte budget shared by
-	// the decoded-shard and encoded-frame caches (the -serve-cache-mb
-	// arena). Eviction is weighted: encoded payloads are cheap to
-	// refill from frame sidecars, so they are evicted preferentially;
-	// decoded entries only pay once frames hold a small fraction of the
-	// resident bytes. <=0 keeps the split budgets.
+	// ServeCacheBytes budgets the serving cache: each shard's records
+	// in frame-ready payload form (the bytes of its sidecar), filled
+	// once and shared by both wires — frame batches slice byte ranges
+	// out of it, NDJSON batches decode those ranges at emit time. 0
+	// disables it: both wires then stream straight from on-store
+	// sidecars (or encode per request). Negative is an error.
 	ServeCacheBytes int64
 	// DisableFrameStore turns the on-store frame sidecar tier off
 	// entirely: sidecars are neither written at job completion, nor
@@ -156,12 +149,10 @@ type Options struct {
 type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler               // mux wrapped in the telemetry middleware
-	cache   *ShardCache[[]any]         // decoded shard records
-	frames  *ShardCache[*encodedShard] // frame-ready shard payload bytes
+	frames  *ShardCache[*encodedShard] // frame-ready shard payload bytes, both wires
 	opts    Options
-	// frameCacheOn records whether the frame cache has a byte budget
-	// (its own or the shared arena's) — the frame-wire serving path's
-	// cache-vs-disk switch.
+	// frameCacheOn records whether the frame cache has a byte budget —
+	// the serving path's cache-vs-disk switch.
 	frameCacheOn bool
 
 	mu     sync.Mutex
@@ -222,34 +213,25 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	// The unified arena gives each cache the full joint budget as its
-	// individual ceiling; the arena's weighted rebalance is what keeps
-	// their sum under it.
-	cacheBytes, frameBytes := opts.CacheBytes, opts.FrameCacheBytes
-	if opts.ServeCacheBytes > 0 {
-		cacheBytes, frameBytes = opts.ServeCacheBytes, opts.ServeCacheBytes
+	if opts.ServeCacheBytes < 0 {
+		return nil, fmt.Errorf("server: ServeCacheBytes (-serve-cache-mb) must be >= 0, got %d bytes", opts.ServeCacheBytes)
 	}
 	s := &Server{
-		mux:         http.NewServeMux(),
-		cache:       NewShardCache[[]any](cacheBytes),
-		frames:      NewShardCache[*encodedShard](frameBytes),
-		opts:        opts,
-		jobs:        make(map[string]*Job),
-		queue:       make(chan *Job, opts.QueueDepth),
-		stop:        make(chan struct{}),
-		metrics:     newServerMetrics(),
-		logger:      opts.Logger,
-		tenants:     opts.Tenants,
-		tenantJobs:  make(map[string]int),
-		tenantBytes: make(map[string]int64),
+		mux:          http.NewServeMux(),
+		frames:       NewShardCache[*encodedShard](opts.ServeCacheBytes),
+		frameCacheOn: opts.ServeCacheBytes > 0,
+		opts:         opts,
+		jobs:         make(map[string]*Job),
+		queue:        make(chan *Job, opts.QueueDepth),
+		stop:         make(chan struct{}),
+		metrics:      newServerMetrics(),
+		logger:       opts.Logger,
+		tenants:      opts.Tenants,
+		tenantJobs:   make(map[string]int),
+		tenantBytes:  make(map[string]int64),
 	}
 	if opts.ServeBudgetKBps > 0 {
 		s.fair = newFairShare(int64(opts.ServeBudgetKBps) << 10)
-	}
-	s.frameCacheOn = frameBytes > 0
-	if opts.ServeCacheBytes > 0 {
-		arena := &cacheArena{budget: opts.ServeCacheBytes, frames: s.frames, decoded: s.cache}
-		s.cache.arena, s.frames.arena = arena, arena
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -882,19 +864,18 @@ func (s *Server) maybeEvict() {
 	s.mu.Unlock()
 
 	for _, j := range released {
-		s.cache.DropPrefix(j.id + "/")
 		s.frames.DropPrefix(j.id + "/")
 		// The ring owner re-retains these bytes on its side; this copy no
 		// longer charges the tenant here.
 		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
 	}
 	for _, j := range victims {
-		// Destroy the shard files before invalidating the caches: a load
+		// Destroy the shard files before invalidating the cache: a load
 		// that starts in the gap then either fails (files gone — nothing
 		// inserted) or completes before DropPrefix and is swept or
 		// tombstoned by it. The reverse order would let a load beginning
 		// just after DropPrefix read still-present files and cache the
-		// deleted job's records forever.
+		// deleted job's payloads forever.
 		if d, ok := j.store.(interface{ Destroy() error }); ok {
 			_ = d.Destroy()
 		} else if s.opts.DataDir != "" {
@@ -902,7 +883,6 @@ func (s *Server) maybeEvict() {
 			// interrupted) may still own a shard directory.
 			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", j.id))
 		}
-		s.cache.DropPrefix(j.id + "/")
 		s.frames.DropPrefix(j.id + "/")
 		if s.log != nil {
 			_ = s.log.append(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})
@@ -1241,10 +1221,10 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Draid-Cursor", start.String())
 	cw := &countingResponseWriter{w: w}
 	flusher, _ := w.(http.Flusher)
-	// Pacing: with a global fair-share budget every stream gets a
-	// dynamic pacer tracking its live share (capped by any per-stream
-	// ?max_kbps= / server ceiling resolved above); without one, the
-	// per-stream cap alone paces, exactly as before.
+	// Pacing: with a global fair-share budget the rate tracks the
+	// stream's live share (capped by any per-stream ?max_kbps= / server
+	// ceiling resolved above); without one, the per-stream cap alone
+	// paces.
 	var pace *pacer
 	if s.fair != nil {
 		weight := 1
@@ -1259,7 +1239,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		if maxKBps > 0 {
 			capBytes = float64(int64(maxKBps) << 10)
 		}
-		pace = newDynamicPacer(func() float64 {
+		pace = newPacer(func() float64 {
 			rate := fairRate()
 			if capBytes > 0 && capBytes < rate {
 				rate = capBytes
@@ -1267,7 +1247,8 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 			return rate
 		})
 	} else if maxKBps > 0 {
-		pace = newPacer(int64(maxKBps) << 10)
+		capBytes := float64(int64(maxKBps) << 10)
+		pace = newPacer(func() float64 { return capBytes })
 	}
 	// Histogram children resolved once per stream, not per batch.
 	firstBatchH := s.metrics.firstBatch.With(dom, wire)
@@ -1288,13 +1269,11 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		cw.writeLine(string(line))
 	}
 
-	// Frame streams are served by slicing byte ranges out of per-shard
-	// frame sources — cached payload bytes, on-store sidecars, or a
-	// per-request encode, resolved per shard by frameSourceFor — so a
-	// single emission path covers warm, disk-tier, and fallback
-	// serving. NDJSON keeps the encode-per-request path. Sources backed
-	// by open store handles are closed when the stream ends.
-	useFrames := wire == domain.WireFrame
+	// Both wires are served from per-shard frame sources — cached
+	// payload bytes, on-store sidecars, or a per-request encode,
+	// resolved per shard by frameSourceFor — and differ only at emit
+	// time. Sources backed by open store handles are closed when the
+	// stream ends.
 	var closers []io.Closer
 	defer func() {
 		for _, c := range closers {
@@ -1303,17 +1282,16 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	served := 0
-	failed := false                // shard-read failure: error already reported in-band
-	emitFailed := false            // write/encode failure: the connection is unusable
-	pos := start                   // position after the last record buffered for emission
-	var pending []any              // NDJSON path: buffered records
-	var pendingRanges []frameRange // frame path: buffered payload ranges
+	failed := false          // shard-read failure: error already reported in-band
+	emitFailed := false      // write/encode failure: the connection is unusable
+	pos := start             // position after the last record buffered for emission
+	var pending []frameRange // buffered payload ranges of the next batch
 	pendingCount := 0
 
 	// post is the shared per-batch bookkeeping after a successful write:
 	// latency, counters, flush, and pacing — which charges the bytes
-	// actually written since before (cw.n), so NDJSON, encoded frames,
-	// and cache-sliced frames are throttled identically.
+	// actually written since before (cw.n), so both wires are throttled
+	// identically.
 	post := func(before int64) error {
 		if served == 0 {
 			firstBatchH.ObserveWithExemplar(time.Since(streamStart).Seconds(), trace)
@@ -1339,40 +1317,6 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 
-	emit := func() error {
-		// The codec references the cached record slices directly —
-		// encoding only reads them, and copying every batch would double
-		// memory traffic on the serving hot path.
-		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: codec.Kind()}
-		before := cw.n
-		// Encode and write are timed apart: the encode histogram is
-		// codec cost only, so a slow client (or the pacer) cannot
-		// masquerade as an expensive codec.
-		encStart := time.Now()
-		line, err := codec.Line(h, pending)
-		if err != nil {
-			// Encode failure with a healthy connection: nothing was
-			// written yet, so the client can still be told — same
-			// contract as the shard-read failure path. (Write/pace
-			// errors below get nothing; that connection is dead.)
-			emitError(err)
-			return err
-		}
-		b, err := json.Marshal(line)
-		if err != nil {
-			emitError(err)
-			return err
-		}
-		wireBytes := append(b, '\n')
-		encDone := time.Now()
-		encodeH.Observe(encDone.Sub(encStart).Seconds())
-		s.recordChildSpan(r.Context(), "batch.encode", encStart, encDone, nil)
-		if _, err := cw.Write(wireBytes); err != nil {
-			return err
-		}
-		return post(before)
-	}
-
 	// emitFrame frames the buffered payload ranges under a fresh
 	// header. The envelope is a handful of varint bytes; the payload is
 	// written straight from each source — cached buffers, or io.CopyN
@@ -1385,7 +1329,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		before := cw.n
 		encStart := time.Now()
 		payloadLen := 0
-		for _, rng := range pendingRanges {
+		for _, rng := range pending {
 			payloadLen += rng.src.rangeLen(rng.a, rng.b)
 		}
 		env, err := domain.FrameEnvelope(h, pendingCount, payloadLen)
@@ -1399,7 +1343,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		if _, err := cw.Write(env); err != nil {
 			return err
 		}
-		for _, rng := range pendingRanges {
+		for _, rng := range pending {
 			if err := rng.src.writeRange(cw, rng.a, rng.b); err != nil {
 				return err
 			}
@@ -1407,15 +1351,56 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		return post(before)
 	}
 
-	flush := func() error {
-		var err error
-		if useFrames {
-			err = emitFrame()
-			pendingRanges = pendingRanges[:0]
-		} else {
-			err = emit()
-			pending = pending[:0]
+	// emitNDJSON gathers the same payload ranges into a buffer reused
+	// across batches, decodes them back into records and marshals the
+	// batch line. Nothing is written until the line is complete, so a
+	// read or decode failure still reaches the client in-band.
+	var payload bytes.Buffer
+	emitNDJSON := func() error {
+		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: codec.Kind()}
+		before := cw.n
+		payload.Reset()
+		for _, rng := range pending {
+			if err := rng.src.writeRange(&payload, rng.a, rng.b); err != nil {
+				emitError(err)
+				return err
+			}
 		}
+		// Timed after the gather: the encode histogram is codec cost
+		// only, so a slow store (or client, or the pacer) cannot
+		// masquerade as an expensive codec.
+		encStart := time.Now()
+		recs, err := codec.DecodeFramePayload(payload.Bytes(), pendingCount)
+		if err != nil {
+			emitError(err)
+			return err
+		}
+		line, err := codec.Line(h, recs)
+		if err != nil {
+			emitError(err)
+			return err
+		}
+		b, err := json.Marshal(line)
+		if err != nil {
+			emitError(err)
+			return err
+		}
+		encDone := time.Now()
+		encodeH.Observe(encDone.Sub(encStart).Seconds())
+		s.recordChildSpan(r.Context(), "batch.encode", encStart, encDone, nil)
+		if _, err := cw.Write(append(b, '\n')); err != nil {
+			return err
+		}
+		return post(before)
+	}
+
+	emit := emitNDJSON
+	if wire == domain.WireFrame {
+		emit = emitFrame
+	}
+	flush := func() error {
+		err := emit()
+		pending = pending[:0]
 		pendingCount = 0
 		return err
 	}
@@ -1423,21 +1408,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 shards:
 	for si := start.Shard; si < len(manifest.Shards); si++ {
 		info := manifest.Shards[si]
-		var records []any
-		var src frameSource
-		var n int
-		var err error
-		if useFrames {
-			src, err = s.frameSourceFor(r.Context(), job, dom, manifest, info, open, codec, &closers)
-			if err == nil {
-				n = src.count()
-			}
-		} else {
-			records, err = s.shardRecords(r.Context(), job.id, dom, manifest, info, open, codec)
-			if err == nil {
-				n = len(records)
-			}
-		}
+		src, err := s.frameSourceFor(r.Context(), job, dom, manifest, info, open, codec, &closers)
 		if err != nil {
 			// Headers are gone; the in-band error is the only channel
 			// left — but the counter makes the failure observable
@@ -1446,24 +1417,18 @@ shards:
 			failed = true
 			break
 		}
+		n := src.count()
 		first := 0
 		if si == start.Shard {
-			first = start.Record
-			if first > n {
-				first = n
-			}
+			first = min(start.Record, n)
 		}
 		for j := first; j < n; j++ {
-			if useFrames {
-				// Batches may span shards; contiguous records within one
-				// shard coalesce into a single byte range.
-				if k := len(pendingRanges); k > 0 && pendingRanges[k-1].src == src && pendingRanges[k-1].b == j {
-					pendingRanges[k-1].b = j + 1
-				} else {
-					pendingRanges = append(pendingRanges, frameRange{src: src, a: j, b: j + 1})
-				}
+			// Batches may span shards; contiguous records within one
+			// shard coalesce into a single byte range.
+			if k := len(pending); k > 0 && pending[k-1].src == src && pending[k-1].b == j {
+				pending[k-1].b = j + 1
 			} else {
-				pending = append(pending, records[j])
+				pending = append(pending, frameRange{src: src, a: j, b: j + 1})
 			}
 			pendingCount++
 			pos = advanceCursor(manifest, si, j)
@@ -1491,42 +1456,38 @@ shards:
 	s.metrics.observeStage("serve:batches", 0, 1, cw.n)
 }
 
-// shardRecords returns one shard's decoded records through the LRU
-// cache, verifying checksums and decoding (via the domain codec) on
-// first access only. Misses are timed into the shard-load histogram
-// (with the loading request's trace as exemplar) and spanned as
-// shard.load; hits observe nothing — cache lookups are not loads.
-func (s *Server) shardRecords(ctx context.Context, jobID, dom string, m *shard.Manifest, info shard.Info, open shard.Opener, codec domain.Codec) ([]any, error) {
-	key := jobID + "/" + info.Name
-	return s.cache.Get(key, func() ([]any, int64, error) {
-		loadStart := time.Now()
-		one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
-		var records []any
-		var bytes int64
-		err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
-			decoded, n, derr := codec.Decode(rec)
-			if derr != nil {
-				return derr
-			}
-			records = append(records, decoded)
-			bytes += n
-			return nil
-		})
-		loadDone := time.Now()
-		outcome := "ok"
-		attrs := map[string]string{"shard": info.Name}
-		if err != nil {
-			outcome = "error"
-			attrs["error"] = err.Error()
+// shardRecords reads, verifies (SHA-256) and decodes one shard through
+// the domain codec — the encode fallback's loader when a shard has no
+// usable sidecar. Uncached: its caller caches the encoded result when
+// the serving cache is on. Every load is timed into the shard-load
+// histogram (with the loading request's trace as exemplar) and spanned
+// as shard.load.
+func (s *Server) shardRecords(ctx context.Context, dom string, m *shard.Manifest, info shard.Info, open shard.Opener, codec domain.Codec) ([]any, error) {
+	loadStart := time.Now()
+	one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
+	var records []any
+	err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
+		decoded, _, derr := codec.Decode(rec)
+		if derr != nil {
+			return derr
 		}
-		s.metrics.shardLoad.With(dom, outcome).ObserveWithExemplar(
-			loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
-		s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
-		if err != nil {
-			return nil, 0, err
-		}
-		return records, bytes, nil
+		records = append(records, decoded)
+		return nil
 	})
+	loadDone := time.Now()
+	outcome := "ok"
+	attrs := map[string]string{"shard": info.Name}
+	if err != nil {
+		outcome = "error"
+		attrs["error"] = err.Error()
+	}
+	s.metrics.shardLoad.With(dom, outcome).ObserveWithExemplar(
+		loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
+	s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
+	if err != nil {
+		return nil, err
+	}
+	return records, nil
 }
 
 // recordChildSpan records a completed interval as a child of the
@@ -1545,24 +1506,26 @@ func (s *Server) recordChildSpan(ctx context.Context, name string, start, end ti
 	})
 }
 
-// pacer is a per-stream token bucket: rate bytes/second sustained, with
-// a small burst so short streams are not over-delayed by rounding.
+// pacer is a per-stream token bucket: rateFn() bytes/second sustained,
+// with a small burst so short streams are not over-delayed by rounding.
+// The rate is re-read at every pace call, so a weighted-fair share that
+// moves as streams open and close elsewhere is followed without
+// restarting the stream; a fixed cap passes a constant function.
 type pacer struct {
+	rateFn    func() float64
 	rate      float64 // bytes per second
 	burst     float64 // bucket capacity (bytes)
 	tokens    float64
 	last      time.Time
 	throttled bool
-	// rateFn, when set, re-resolves the rate at every pace call — the
-	// weighted-fair share moves as streams open and close elsewhere.
-	rateFn func() float64
 }
 
-// newPacer returns a pacer sustaining rateBytes per second, with the
-// pacerBurst capacity for that rate.
-func newPacer(rateBytes int64) *pacer {
-	burst := pacerBurst(float64(rateBytes))
-	return &pacer{rate: float64(rateBytes), burst: burst, tokens: burst, last: time.Now()}
+// newPacer returns a pacer sustaining rateFn() bytes per second, with
+// the pacerBurst capacity for that rate and a full bucket.
+func newPacer(rateFn func() float64) *pacer {
+	rate := rateFn()
+	burst := pacerBurst(rate)
+	return &pacer{rateFn: rateFn, rate: rate, burst: burst, tokens: burst, last: time.Now()}
 }
 
 // pace charges n bytes against the bucket and sleeps off any deficit.
@@ -1571,13 +1534,11 @@ func newPacer(rateBytes int64) *pacer {
 // handler goroutine — a huge batch at a tiny rate would otherwise
 // sleep unbounded for a reader that may already be gone.
 func (p *pacer) pace(ctx context.Context, n int64) error {
-	if p.rateFn != nil {
-		if r := p.rateFn(); r > 0 && r != p.rate {
-			p.rate = r
-			p.burst = pacerBurst(r)
-			if p.tokens > p.burst {
-				p.tokens = p.burst
-			}
+	if r := p.rateFn(); r > 0 && r != p.rate {
+		p.rate = r
+		p.burst = pacerBurst(r)
+		if p.tokens > p.burst {
+			p.tokens = p.burst
 		}
 	}
 	now := time.Now()

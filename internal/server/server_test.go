@@ -136,7 +136,7 @@ func TestJobNotFound(t *testing.T) {
 // registry-template job over HTTP, poll to completion, stream >=2
 // batches, and verify decoded sample shapes.
 func TestEndToEndClimateServe(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2, CacheBytes: 32 << 20})
+	s, ts := newTestServer(t, Options{Workers: 2, ServeCacheBytes: 32 << 20})
 
 	spec := JobSpec{Domain: core.Climate, Name: "e2e", Seed: 7, Months: 24, Lat: 16, Lon: 32}
 	id, err := SubmitAndWait(ts.URL, spec, 60*time.Second)
@@ -211,7 +211,7 @@ func TestEndToEndClimateServe(t *testing.T) {
 // only holds AES-GCM sealed shards, yet the serving tier streams
 // plaintext sample batches via the per-job key.
 func TestBioServeDecryptsSealedShards(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.BioHealth, Subjects: 16, SeqLen: 128}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestBioServeDecryptsSealedShards(t *testing.T) {
 // fusion_windows codec streams them as windowed signal batches with
 // disruption labels and horizons instead of the pre-plugin 409.
 func TestFusionStreamsWindows(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Fusion, Shots: 6}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestFusionStreamsWindows(t *testing.T) {
 // group per graph; the materials_graphs codec streams them as ragged
 // node/edge tensors.
 func TestMaterialsStreamsGraphs(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Materials, Structures: 12}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +394,9 @@ func TestProvenanceEndpoint(t *testing.T) {
 }
 
 // TestConcurrentReadersShareCache streams the same job from many
-// readers at once; the decoded-shard cache must coalesce the decodes.
+// NDJSON readers at once; the serving cache must coalesce the fills.
 func TestConcurrentReadersShareCache(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 64 << 20})
+	s, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 64 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 24, Lat: 16, Lon: 32}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +418,7 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	cs := s.cache.Stats()
+	cs := s.frames.Stats()
 	if cs.Hits == 0 {
 		t.Fatalf("no cache hits across 8 readers: %+v", cs)
 	}
@@ -426,9 +426,17 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	// Every shard decodes at most once (singleflight): misses <= shards.
+	// Every shard fills at most once (singleflight): misses <= shards.
 	if cs.Misses > int64(st.Shards) {
 		t.Fatalf("%d misses for %d shards", cs.Misses, st.Shards)
+	}
+}
+
+// TestNegativeServeCacheRejected: a negative cache budget (draid's
+// -serve-cache-mb -1) is a startup error, not a disabled cache.
+func TestNegativeServeCacheRejected(t *testing.T) {
+	if _, err := New(Options{ServeCacheBytes: -1 << 20}); err == nil || !strings.Contains(err.Error(), "-serve-cache-mb") {
+		t.Fatalf("negative budget: err %v, want one naming -serve-cache-mb", err)
 	}
 }
 
@@ -471,7 +479,7 @@ func TestShardCacheEviction(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 1 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 1 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +504,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"draid_jobs_done_total 1",
 		"draid_bytes_served_total",
 		"draid_batches_served_total 2",
-		"draid_shard_cache_misses_total",
+		"draid_frame_cache_misses_total",
 		`draid_stage_seconds_total{stage="job:climate"}`,
 		`draid_stage_seconds_total{stage="regrid"}`,
 		`draid_stage_calls_total{stage="serve:batches"}`,

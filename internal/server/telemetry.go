@@ -107,7 +107,7 @@ func newServerMetrics() *serverMetrics {
 			"Per-batch codec encode time (excludes network writes).",
 			telemetry.FastBuckets, "domain", "wire"),
 		shardLoad: reg.Histogram("draid_shard_load_seconds",
-			"Shard-cache miss load time: read, verify, decode one shard.",
+			"Encode-fallback shard load time: read, verify, decode one shard without a usable sidecar.",
 			telemetry.DefBuckets, "domain", "outcome"),
 
 		stageSeconds: reg.Counter("draid_stage_seconds_total", "Pipeline stage wall time.", "stage"),
@@ -141,29 +141,17 @@ func (m *serverMetrics) observeStage(stage string, seconds float64, calls, bytes
 // scrape.
 func (s *Server) registerCollectors() {
 	reg := s.metrics.reg
-	reg.GaugeFunc("draid_shard_cache_entries", "Decoded shards resident in the LRU cache.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	reg.GaugeFunc("draid_shard_cache_bytes", "Decoded bytes resident in the LRU cache.",
-		func() float64 { return float64(s.cache.Stats().Bytes) })
-	reg.CounterFunc("draid_shard_cache_hits_total", "Shard reads served from the cache.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.CounterFunc("draid_shard_cache_misses_total", "Shard reads that had to load and decode.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
-	reg.CounterFunc("draid_shard_cache_evictions_total", "Cached shards evicted by byte-budget pressure.",
-		func() float64 { return float64(s.cache.Stats().Evictions) })
-	reg.CounterFunc("draid_shard_cache_invalidations_total", "Cached shards removed by job eviction or release (DropPrefix).",
-		func() float64 { return float64(s.cache.Stats().Invalidations) })
-	reg.GaugeFunc("draid_frame_cache_entries", "Encoded-frame shards resident in the frame cache.",
+	reg.GaugeFunc("draid_frame_cache_entries", "Shards resident in the serving cache, as frame-ready payloads.",
 		func() float64 { return float64(s.frames.Stats().Entries) })
-	reg.GaugeFunc("draid_frame_cache_bytes", "Frame-ready payload bytes resident in the frame cache.",
+	reg.GaugeFunc("draid_frame_cache_bytes", "Frame-ready payload bytes resident in the serving cache.",
 		func() float64 { return float64(s.frames.Stats().Bytes) })
-	reg.CounterFunc("draid_frame_cache_hits_total", "Frame-wire shard reads served from pre-encoded payload bytes.",
+	reg.CounterFunc("draid_frame_cache_hits_total", "Shard reads (either wire) served from cached frame-ready payload bytes.",
 		func() float64 { return float64(s.frames.Stats().Hits) })
-	reg.CounterFunc("draid_frame_cache_misses_total", "Frame-wire shard reads that had to encode the shard's payload.",
+	reg.CounterFunc("draid_frame_cache_misses_total", "Shard reads (either wire) that had to fill the cache from a sidecar or by encoding.",
 		func() float64 { return float64(s.frames.Stats().Misses) })
-	reg.CounterFunc("draid_frame_cache_evictions_total", "Encoded-frame shards evicted by byte-budget pressure.",
+	reg.CounterFunc("draid_frame_cache_evictions_total", "Cached shards evicted by byte-budget pressure.",
 		func() float64 { return float64(s.frames.Stats().Evictions) })
-	reg.CounterFunc("draid_frame_cache_invalidations_total", "Encoded-frame shards removed by job eviction or release (DropPrefix).",
+	reg.CounterFunc("draid_frame_cache_invalidations_total", "Cached shards removed by job eviction or release (DropPrefix).",
 		func() float64 { return float64(s.frames.Stats().Invalidations) })
 	if c := s.opts.Cluster; c != nil {
 		reg.GaugeFunc("draid_cluster_members", "Configured fleet size.",

@@ -30,8 +30,8 @@ var serverSpanNames = []string{
 	"job.wait",      // queue wait: submission accepted -> worker pickup
 	"job.run",       // pipeline execution on the worker
 	"job.stage",     // one pipeline stage inside job.run
-	"shard.load",    // decoded-shard cache miss: read, verify, decode
-	"frame.fill",    // frame-cache miss: encode a shard's frame payload
+	"shard.load",    // encode fallback: read, verify, decode one shard
+	"frame.fill",    // serving-cache miss: a shard's payload from sidecar or encode
 	"batch.encode",  // per-batch wire encode (header-only on cache hits)
 	"pace.stall",    // token-bucket sleep inside a paced stream
 }
